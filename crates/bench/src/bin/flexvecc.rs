@@ -10,8 +10,8 @@
 //! flexvecc client <op> [file.fv]       talk to a running daemon (or pipe stdin)
 //! ```
 //!
-//! Common flags: `--engine tree|compiled`, `--spec ff|rtm[:TILE]`,
-//! `--vl 8|16|32|64` (ambient vector length for the local drivers and
+//! Common flags: `--engine tree|compiled|native` (`tree` is local-only),
+//! `--spec ff|rtm[:TILE]`, `--vl 8|16|32|64` (ambient vector length for the local drivers and
 //! fuzzer; forwarded per-request by `client`), `--json`; `run`/`bench`
 //! also take `--invocations N` and `bench` takes `--waves N`. `fuzz`
 //! takes `--seed N`, `--iters N`, `--budget-ms N`
@@ -598,8 +598,10 @@ fn client_cmd(flags: &CommonFlags, args: &[String]) -> i32 {
                 };
                 request.push(("spec", Json::from(spec)));
             }
-            // Without an explicit --engine the daemon's tier policy
-            // picks the engine per kernel hash (wire default `auto`).
+            // Without an explicit --engine the daemon runs each variant
+            // on the bytecode until it has verified, then on native
+            // code (wire default `auto`). It refuses `tree`, which runs
+            // only in the local drivers.
             if flags.engine_explicit {
                 let engine = match flags.engine {
                     flexvec_vm::Engine::TreeWalking => "tree",

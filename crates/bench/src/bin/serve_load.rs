@@ -20,15 +20,15 @@
 //! shapes travel the same wire and queue, so the ratio isolates the
 //! cache.
 //!
-//! A fourth phase demonstrates tiered execution end to end: one
+//! A fourth phase demonstrates the execution rule end to end: one
 //! straight-line-heavy kernel is submitted with the engine omitted
-//! (`auto`), so the daemon's tier policy walks it cold→tree,
-//! warm→bytecode, hot→native across successive requests. The final hot
-//! request's `chunks_per_sec` (measured by the daemon around its own
-//! exec loop, so the wire cancels out) is compared against a forced
+//! (`auto`), so its first request verifies on the bytecode and the
+//! requests after it run native code. The final steady request's
+//! `chunks_per_sec` (measured by the daemon around its own exec loop,
+//! so the wire cancels out) is compared against a forced
 //! `"engine":"compiled"` bench of the same kernel, and on x86-64 hosts
-//! the run fails unless the promoted native tier beats the bytecode
-//! tier by a measurable margin.
+//! the run fails unless native code beats the bytecode by a measurable
+//! margin.
 //!
 //! Four further regression-failing scenarios cover the scale-out and
 //! adaptive layers:
@@ -68,7 +68,7 @@ use flexvec_serve::{start, Client, Json, ServerConfig};
 /// Minimum repeat/one-shot throughput ratio the run must demonstrate.
 const MIN_SPEEDUP: f64 = 5.0;
 
-/// Minimum native-over-bytecode throughput ratio the promoted hot
+/// Minimum native-over-bytecode throughput ratio the verified hot
 /// kernel must demonstrate on hosts with the x86-64 back end. The
 /// in-process bar (vm_throughput) is 1.5×; over the daemon we only
 /// require a measurable margin, leaving headroom for scheduler noise.
@@ -109,7 +109,7 @@ fn kernel_source_shaped(n: u64, patterns: u64, iters: u64) -> String {
     src
 }
 
-/// The hot kernel for the tier-promotion phase: a long unguarded
+/// The hot kernel for the verify→native phase: a long unguarded
 /// arithmetic chain, the shape the native tier compiles (almost)
 /// entirely to inline machine code. Same family as the `straightline`
 /// kernel in the `vm_throughput` bench, expressed in `.fv`.
@@ -133,17 +133,15 @@ for (i = 0; i < 2048; i++) {
 }
 ";
 
-/// What the tier-promotion phase observed.
+/// What the verify→native phase observed.
 struct TierReport {
-    /// Engine labels of the auto requests, in order (expected to walk
-    /// tree-walking → compiled → native on x86-64 hosts).
-    labels: Vec<String>,
-    /// Daemon-measured chunks/s of the final (hot) auto request.
+    /// `(engine, verified)` of the auto requests, in order (expected
+    /// `compiled` and verified first, then `native` on x86-64 hosts).
+    walk: Vec<(String, bool)>,
+    /// Daemon-measured chunks/s of the final (steady) auto request.
     hot_cps: f64,
     /// Daemon-measured chunks/s of the forced-bytecode baseline.
     bytecode_cps: f64,
-    /// `flexvec_tier_promotions_total` after the walk.
-    promotions: u64,
     /// Whether the daemon's host has the native back end.
     native_supported: bool,
 }
@@ -152,10 +150,31 @@ impl TierReport {
     fn ratio(&self) -> f64 {
         self.hot_cps / self.bytecode_cps.max(1e-9)
     }
+
+    fn labels(&self) -> Vec<&str> {
+        self.walk
+            .iter()
+            .map(|(engine, _)| engine.as_str())
+            .collect()
+    }
+
+    /// Whether the walk followed the rule: verified on the bytecode
+    /// first, then unverified runs on the steady executor.
+    fn followed_the_rule(&self) -> bool {
+        let steady = if self.native_supported {
+            "native"
+        } else {
+            "compiled"
+        };
+        self.walk
+            .first()
+            .is_some_and(|(e, v)| e == "compiled" && *v)
+            && self.walk[1..].iter().all(|(e, v)| e == steady && !*v)
+    }
 }
 
-/// Walks one kernel through the daemon's tier policy and measures the
-/// promoted hot tier against a forced-bytecode baseline.
+/// Walks one kernel through the verify→native rule and measures the
+/// steady native run against a forced-bytecode baseline.
 fn drive_tiers(addr: &str) -> TierReport {
     let mut client = Client::connect(addr).expect("connect tier client");
     let mut bench = |engine: Option<&str>, invocations: u64| -> Json {
@@ -178,28 +197,28 @@ fn drive_tiers(addr: &str) -> TierReport {
         response
     };
 
-    // The policy promotes on cumulative run count (warm at 2, hot at
-    // 16), and each request counts `invocations` runs. Three auto
-    // requests therefore land on three different tiers: 0 runs seen →
-    // tree, 2 → bytecode, 16 → native (on hosts that have it).
-    let label = |r: &Json| {
-        r.get("engine")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_owned()
+    // The first auto request verifies the variant on the bytecode; the
+    // two after it run native code (on hosts that have it).
+    let step = |r: &Json| {
+        (
+            r.get("engine")
+                .and_then(Json::as_str)
+                .unwrap_or("?")
+                .to_owned(),
+            r.get("verified").and_then(Json::as_bool).unwrap_or(false),
+        )
     };
-    let cold = bench(None, 2);
-    let warm = bench(None, 14);
+    let first = bench(None, 2);
+    let second = bench(None, 14);
     let hot = bench(None, 48);
     let hot_cps = hot
         .get("chunks_per_sec")
         .and_then(Json::as_f64)
         .unwrap_or(0.0);
-    let labels = vec![label(&cold), label(&warm), label(&hot)];
+    let walk = vec![step(&first), step(&second), step(&hot)];
 
     // Forced-bytecode baseline for the same kernel, same wire, same
-    // daemon. Explicit engines bypass the tier policy, so this does
-    // not disturb the walk above.
+    // daemon.
     let baseline = bench(Some("compiled"), 48);
     let bytecode_cps = baseline
         .get("chunks_per_sec")
@@ -210,13 +229,9 @@ fn drive_tiers(addr: &str) -> TierReport {
         .request(&Json::obj([("op", Json::from("stats"))]))
         .expect("stats request");
     TierReport {
-        labels,
+        walk,
         hot_cps,
         bytecode_cps,
-        promotions: stats
-            .get("tier_promotions_total")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
         native_supported: stats
             .get("native_supported")
             .and_then(Json::as_bool)
@@ -453,9 +468,8 @@ fn main() {
         })
         .collect();
 
-    // Tier promotion: one hot kernel walks cold→tree, warm→bytecode,
-    // hot→native under the auto policy, then races the promoted tier
-    // against a forced-bytecode baseline.
+    // Verify→native: one hot kernel verifies on the bytecode, then runs
+    // native code, and races that against a forced-bytecode baseline.
     let tiers = drive_tiers(&addr);
 
     let metrics_text = handle
@@ -481,7 +495,7 @@ fn main() {
              \"width_rps\": {{{width_rps}}},\n  \
              \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
              \"tier_walk\": [{}],\n  \"tier_bytecode_cps\": {},\n  \"tier_hot_cps\": {},\n  \
-             \"tier_ratio\": {},\n  \"tier_promotions\": {},\n  \
+             \"tier_ratio\": {},\n  \
              \"native_supported\": {},\n  \"failures\": {failures}\n}}",
             json_f64(repeat.req_per_sec()),
             json_f64(oneshot.req_per_sec()),
@@ -495,7 +509,7 @@ fn main() {
             stats.hits,
             stats.misses,
             tiers
-                .labels
+                .labels()
                 .iter()
                 .map(|l| format!("\"{l}\""))
                 .collect::<Vec<_>>()
@@ -503,7 +517,6 @@ fn main() {
             json_f64(tiers.bytecode_cps),
             json_f64(tiers.hot_cps),
             json_f64(tiers.ratio()),
-            tiers.promotions,
             tiers.native_supported,
         );
     } else {
@@ -545,24 +558,22 @@ fn main() {
             stats.hits, stats.misses
         );
         println!(
-            "  tiers (hot kernel):  {}   bytecode {:.3e} -> hot {:.3e} chunks/s \
-             ({:.2}x; {} promotion(s))",
-            tiers.labels.join(" -> "),
+            "  tiers (hot kernel):  {}   bytecode {:.3e} -> hot {:.3e} chunks/s ({:.2}x)",
+            tiers.labels().join(" -> "),
             tiers.bytecode_cps,
             tiers.hot_cps,
             tiers.ratio(),
-            tiers.promotions,
         );
         if let Some(text) = &metrics_text {
             let hits = text
                 .lines()
                 .find(|l| l.starts_with("flexvec_cache_hits_total"))
                 .unwrap_or("flexvec_cache_hits_total <missing>");
-            let promotions = text
+            let native = text
                 .lines()
-                .find(|l| l.starts_with("flexvec_tier_promotions_total"))
-                .unwrap_or("flexvec_tier_promotions_total <missing>");
-            println!("  /metrics scrape ok ({hits}; {promotions})");
+                .find(|l| l.starts_with("flexvec_tier_native_total"))
+                .unwrap_or("flexvec_tier_native_total <missing>");
+            println!("  /metrics scrape ok ({hits}; {native})");
         }
     }
 
@@ -576,27 +587,21 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if tiers.promotions == 0 {
-        eprintln!("serve_load: the tier policy never promoted the hot kernel");
+    if !tiers.followed_the_rule() {
+        eprintln!(
+            "serve_load: hot kernel did not verify on the bytecode and then run \
+             its steady executor (walk: {:?})",
+            tiers.walk
+        );
         std::process::exit(1);
     }
-    if tiers.native_supported {
-        if tiers.labels.last().map(String::as_str) != Some("native") {
-            eprintln!(
-                "serve_load: hot kernel was not promoted to the native tier \
-                 (walk: {})",
-                tiers.labels.join(" -> ")
-            );
-            std::process::exit(1);
-        }
-        if tiers.ratio() < MIN_TIER_SPEEDUP {
-            eprintln!(
-                "serve_load: native tier {:.2}x over bytecode is below the required \
-                 {MIN_TIER_SPEEDUP:.2}x",
-                tiers.ratio()
-            );
-            std::process::exit(1);
-        }
+    if tiers.native_supported && tiers.ratio() < MIN_TIER_SPEEDUP {
+        eprintln!(
+            "serve_load: native tier {:.2}x over bytecode is below the required \
+             {MIN_TIER_SPEEDUP:.2}x",
+            tiers.ratio()
+        );
+        std::process::exit(1);
     }
 }
 
@@ -952,9 +957,9 @@ const MIN_WARMUP_SPEEDUP: f64 = 3.0;
 /// restore, or peer pull), then runs one more sweep for the
 /// steady-state p50. Returns `(time from first request to the end of
 /// the first all-warm sweep, steady-state p50, sweeps to steady)`.
-/// The engine is pinned to `compiled` so the tier policy's slow
-/// first-run tree walk doesn't mask the compile-vs-pull difference
-/// the scenario exists to measure.
+/// The engine is pinned to `compiled` so a one-off JIT build on a
+/// kernel's second run doesn't mask the compile-vs-pull difference the
+/// scenario exists to measure.
 fn time_to_steady(addr: &str, sources: &[String]) -> (Duration, Duration, u64) {
     let mut client = Client::connect(addr).expect("connect joiner");
     let t0 = Instant::now();
@@ -1525,26 +1530,34 @@ fn scenario_autotune(flags: &CommonFlags) -> i32 {
         );
     }
 
-    // `--engine` bypass: a fresh daemon would tier this hot kernel to
-    // bytecode/native; an explicit engine pin must be honored verbatim.
+    // `--engine` bypass: once this kernel has verified, the daemon runs
+    // it on native code; an explicit `compiled` pin must still run the
+    // bytecode.
     let handle = start(base_config()).expect("start engine-pin daemon");
     let mut client = Client::connect(&handle.addr.to_string()).expect("connect engine pin");
-    let response = client
-        .request(&Json::obj([
+    let mut run = |engine: Option<&str>| {
+        let mut fields = vec![
             ("op", Json::from("run")),
             ("source", Json::from(FAMILY_STORE_HEAVY)),
-            ("engine", Json::from("tree")),
-        ]))
-        .expect("engine-pinned run");
-    let engine = response
-        .get("engine")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_owned();
-    if engine != "tree-walking" {
+        ];
+        if let Some(engine) = engine {
+            fields.push(("engine", Json::from(engine)));
+        }
+        let response = client
+            .request(&Json::obj(fields))
+            .expect("engine-pinned run");
+        response
+            .get("engine")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_owned()
+    };
+    run(None);
+    let engine = run(Some("compiled"));
+    if engine != "compiled" {
         eprintln!(
             "serve_load autotune: REGRESSION — explicit engine pin answered `{engine}` \
-             (expected `tree-walking`)"
+             (expected `compiled`)"
         );
         failed = true;
     }

@@ -14,7 +14,9 @@
 //!
 //! `--engine native` asks for the x86-64 JIT tier; on hosts without the
 //! back end it degrades to `compiled` with a note on stderr rather than
-//! erroring, so scripts are portable.
+//! erroring, so scripts are portable. `--engine tree` is for the local
+//! drivers only: `flexvecc client` forwards it and the daemon answers
+//! `bad_request`.
 //!
 //! Values may be attached (`--engine=tree`) or separate (`--engine
 //! tree`). Binaries can register extra `--name VALUE` flags; anything
@@ -31,7 +33,8 @@ pub struct CommonFlags {
     pub engine: Engine,
     /// Whether `--engine` was given explicitly. `flexvecc client` uses
     /// this to decide between forcing the engine on the daemon and
-    /// deferring to its tier policy (the wire default, `auto`).
+    /// deferring to its verify-then-native rule (the wire default,
+    /// `auto`).
     pub engine_explicit: bool,
     /// `--spec`: first-faulting (the paper's default) or RTM speculation.
     pub spec: SpecRequest,
@@ -60,7 +63,8 @@ fn usage(bin: &str, about: &str, extras: &[ExtraFlag]) -> String {
     let mut out = format!(
         "{about}\n\nUsage: {bin} [OPTIONS] [ARGS...]\n\nOptions:\n  \
          --engine tree|compiled|native  execution engine (default: compiled;\n                           \
-         native falls back to compiled off x86-64)\n  \
+         native falls back to compiled off x86-64;\n                           \
+         tree is local-only: a daemon refuses it)\n  \
          --spec ff|rtm[:TILE]     speculation strategy (default: ff; rtm tile 256)\n  \
          --json                   machine-readable output where supported\n  \
          --help                   show this help\n"

@@ -21,7 +21,7 @@ use flexvec::{
     StableHasher, VectorizeError, Vectorized, Verdict,
 };
 use flexvec_ir::Program;
-use flexvec_vm::CompiledVProg;
+use flexvec_vm::{CompiledVProg, NativeVariants};
 
 /// A fully lowered, executable plan for one kernel.
 #[derive(Debug)]
@@ -30,6 +30,28 @@ pub struct CompiledPlan {
     pub vectorized: Vectorized,
     /// The flat bytecode form the compiled engine executes.
     pub compiled: CompiledVProg,
+    /// Native code for `compiled`, built lazily per vector length and
+    /// evicted with the entry. Machine code is never persisted.
+    native: NativeVariants,
+}
+
+impl CompiledPlan {
+    /// A plan whose native code is not built yet.
+    pub fn new(vectorized: Vectorized, compiled: CompiledVProg) -> Self {
+        CompiledPlan {
+            vectorized,
+            compiled,
+            native: NativeVariants::default(),
+        }
+    }
+
+    /// The bytecode with native code attached at the ambient vector
+    /// length, JIT-compiled on the first call at that width; `None`
+    /// where the host has no JIT back end or the JIT declines this
+    /// program (run [`CompiledPlan::compiled`] instead).
+    pub fn native(&self) -> Option<&CompiledVProg> {
+        self.native.get_or_build(&self.compiled)
+    }
 }
 
 /// One cache entry: everything the pipeline derives from a `Program`
@@ -267,10 +289,7 @@ impl CompileCache {
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let plan = vectorize_with(program, analysis, spec).map(|vectorized| {
             let compiled = CompiledVProg::compile(&vectorized.vprog);
-            CompiledPlan {
-                vectorized,
-                compiled,
-            }
+            CompiledPlan::new(vectorized, compiled)
         });
         CompiledKernel {
             program_hash: program_hash(program),
@@ -471,10 +490,10 @@ mod tests {
                     program_hash: k.program_hash,
                     analysis: k.analysis.clone(),
                     plan: match &k.plan {
-                        Ok(plan) => Ok(CompiledPlan {
-                            vectorized: plan.vectorized.clone(),
-                            compiled: plan.compiled.clone(),
-                        }),
+                        Ok(plan) => Ok(CompiledPlan::new(
+                            plan.vectorized.clone(),
+                            plan.compiled.clone(),
+                        )),
                         Err(e) => Err(e.clone()),
                     },
                 })

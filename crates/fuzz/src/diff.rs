@@ -22,7 +22,7 @@ use flexvec_front::{parse_str, to_fv_kernel, CompileCache};
 use flexvec_isa::{with_vlen, SUPPORTED_VLENS};
 use flexvec_mem::{AddressSpace, ArrayId};
 use flexvec_vm::{
-    deserialize_compiled, native_supported, run_scalar, run_vector_precompiled,
+    deserialize_compiled, native_supported, run_scalar, run_vector_precompiled_with_scratch,
     run_vector_with_engine, serialize_compiled, Bindings, CountingSink, Engine, ExecError,
     RunResult, SerialLimits, Uop, VecSink, VectorStats,
 };
@@ -289,10 +289,11 @@ fn check_front_end(
         let mut mem = AddressSpace::new();
         let ids = bind(case, &mut mem);
         let mut sink = VecSink::default();
-        return match run_vector_precompiled(
+        return match run_vector_precompiled_with_scratch(
             &case.program,
             &plan.vectorized.vprog,
             &plan.compiled,
+            &mut plan.compiled.scratch(),
             &mut mem,
             Bindings::new(ids),
             &mut sink,
@@ -315,10 +316,11 @@ fn check_front_end(
     let mut mem = AddressSpace::new();
     let ids = bind(case, &mut mem);
     let mut sink = VecSink::default();
-    let cached = match run_vector_precompiled(
+    let cached = match run_vector_precompiled_with_scratch(
         &case.program,
         &plan.vectorized.vprog,
         &plan.compiled,
+        &mut plan.compiled.scratch(),
         &mut mem,
         Bindings::new(ids.clone()),
         &mut sink,
@@ -365,10 +367,11 @@ fn check_front_end(
     let mut mem = AddressSpace::new();
     let ids = bind(case, &mut mem);
     let mut sink = VecSink::default();
-    match run_vector_precompiled(
+    match run_vector_precompiled_with_scratch(
         &case.program,
         &plan.vectorized.vprog,
         &restored,
+        &mut restored.scratch(),
         &mut mem,
         Bindings::new(ids.clone()),
         &mut sink,

@@ -1,11 +1,11 @@
 //! Speculation-counter crosscheck across all three execution tiers.
 //!
 //! The serve autotuner steers on [`ThroughputReport`]'s fault, conflict
-//! and partition counters, and the daemon may promote a kernel from the
-//! tree walker through bytecode to the native JIT *while the profile is
+//! and partition counters, and the daemon moves a kernel from bytecode
+//! to the native JIT once it has verified, *while the profile is
 //! accumulating*. A tier that under- or over-reported `ff_fallbacks`,
 //! `rtm_aborts` or `vpl_iterations` would silently skew the tuner's
-//! decisions after a promotion, so every tier must report bit-identical
+//! decisions after that switch, so every tier must report bit-identical
 //! counts for the same program and input — asserted here for one shape
 //! per counter family.
 

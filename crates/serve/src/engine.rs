@@ -26,6 +26,12 @@
 //! *cancellable* executor entry points so a request deadline or a
 //! daemon drain stops the VPL loop at the next chunk boundary.
 //!
+//! The same bookkeeping picks the executor. A variant that has not yet
+//! passed verification runs the cached bytecode plan; once it has
+//! passed, its runs (audits included) use the entry's native code,
+//! JIT-compiled at most once per vector length, or the bytecode where
+//! the host has no JIT. A request's `engine` pins either executor.
+//!
 //! Implicit-spec traffic also feeds the [`crate::autotune`] state
 //! machine: per kernel hash the engine keeps a decaying runtime
 //! profile and, when the profile demands it, re-specializes the cached
@@ -44,9 +50,8 @@ use flexvec_mem::AddressSpace;
 use flexvec_profiler::{throughput_samples, vector_stat_samples, StatSample, ThroughputReport};
 use flexvec_sim::{OooSim, SimConfig};
 use flexvec_vm::{
-    native_supported, run_scalar_cancellable, run_vector_precompiled_cancellable,
-    run_vector_with_engine_cancellable, Bindings, CancelToken, CompiledVProg, Engine, TraceSink,
-    VectorStats,
+    native_supported, run_scalar_cancellable, run_vector_precompiled_cancellable, Bindings,
+    CancelToken, Engine, TraceSink, VectorStats,
 };
 
 use crate::autotune::{AutotuneConfig, KernelProfile, Observation, DECISION_REASONS};
@@ -141,59 +146,18 @@ pub struct ServeEngine {
     replication: OnceLock<Arc<Replicator>>,
     started: Instant,
     totals: Mutex<BTreeMap<&'static str, u64>>,
-    tiers: Mutex<BTreeMap<u64, TierEntry>>,
     profiles: Mutex<BTreeMap<u64, KernelProfile>>,
-    /// Upper bound on the `tiers` and `profiles` map sizes, so daemon
-    /// memory is bounded by configuration, not by the number of
-    /// distinct kernels ever seen.
+    /// Upper bound on the `profiles` map size, so daemon memory is
+    /// bounded by configuration, not by the number of distinct kernels
+    /// ever seen.
     tracked_capacity: usize,
     tune_cfg: AutotuneConfig,
 }
 
-/// A kernel becomes *warm* (bytecode tier) at this many runs.
-const TIER_WARM_RUNS: u64 = 2;
-/// A kernel becomes *hot* (native tier) at this many runs.
-const TIER_HOT_RUNS: u64 = 16;
-
 /// Tracking-map bound for unbounded-cache daemons (`cache_capacity`
-/// 0): still finite, so a hostile kernel stream cannot grow the tier
-/// and profile maps without limit.
+/// 0): still finite, so a hostile kernel stream cannot grow the
+/// profile map without limit.
 const TRACKED_UNBOUNDED_CAP: usize = 4096;
-
-/// Per-kernel-hash tier state: how often the kernel has run, which
-/// tier it last ran on, and the native-enabled plan once it got hot.
-/// The map is keyed by kernel hash and bounded by
-/// [`ServeEngine::tracked_capacity`], so it grows with resident
-/// kernels, not with traffic.
-#[derive(Default)]
-struct TierEntry {
-    runs: u64,
-    /// 0 = never ran, else `tier_rank` of the last auto-policy tier.
-    last_rank: u8,
-    /// Cached native-enabled clone of the compiled plan, keyed by the
-    /// `(spec, vl)` it was built for — native code is specialized per
-    /// vector length, so a width change rebuilds it just like a spec
-    /// change does.
-    native: Option<(SpecRequest, usize, CompiledVProg)>,
-}
-
-/// Promotion order of the tiers.
-fn tier_rank(engine: Engine) -> u8 {
-    match engine {
-        Engine::TreeWalking => 1,
-        Engine::Compiled => 2,
-        Engine::Native => 3,
-    }
-}
-
-/// The totals-map key counting executions on this tier.
-fn tier_counter(engine: Engine) -> &'static str {
-    match engine {
-        Engine::TreeWalking => "tier_tree",
-        Engine::Compiled => "tier_bytecode",
-        Engine::Native => "tier_native",
-    }
-}
 
 /// Maps an engine-counter sample name to its Prometheus metric name.
 fn prom_name(name: &'static str) -> &'static str {
@@ -207,10 +171,8 @@ fn prom_name(name: &'static str) -> &'static str {
         "engine_wall_micros" => "flexvec_engine_wall_micros_total",
         "engine_page_cache_hits" => "flexvec_engine_page_cache_hits_total",
         "engine_page_cache_misses" => "flexvec_engine_page_cache_misses_total",
-        "tier_tree" => "flexvec_tier_tree_total",
         "tier_bytecode" => "flexvec_tier_bytecode_total",
         "tier_native" => "flexvec_tier_native_total",
-        "tier_promotions" => "flexvec_tier_promotions_total",
         "autotune_respecialize" => "flexvec_autotune_respecialize_total",
         "autotune_reason_rtm_unlock" => "flexvec_autotune_reason_rtm_unlock_total",
         "autotune_reason_ff_pressure" => "flexvec_autotune_reason_ff_pressure_total",
@@ -273,10 +235,8 @@ impl ServeEngine {
             // presence.
             totals: Mutex::new({
                 let mut totals = BTreeMap::from([
-                    ("tier_tree", 0),
                     ("tier_bytecode", 0),
                     ("tier_native", 0),
-                    ("tier_promotions", 0),
                     ("autotune_respecialize", 0),
                     ("autotune_vector_only", 0),
                     ("autotune_verified", 0),
@@ -286,12 +246,11 @@ impl ServeEngine {
                 }
                 totals
             }),
-            tiers: Mutex::new(BTreeMap::new()),
             profiles: Mutex::new(BTreeMap::new()),
             tracked_capacity: if cache_capacity == 0 {
                 TRACKED_UNBOUNDED_CAP
             } else {
-                // Twice the cache: tier/profile state is tiny next to a
+                // Twice the cache: profile state is tiny next to a
                 // compiled plan, and surviving a round of cache churn
                 // keeps the autotuner's memory of a kernel intact.
                 cache_capacity.saturating_mul(2)
@@ -300,87 +259,26 @@ impl ServeEngine {
         }
     }
 
-    /// Kernels currently tracked by the tier policy and the autotuner
-    /// — `(tiers, profiles)` map sizes, both bounded by the tracking
-    /// cap.
-    pub fn tracked_kernels(&self) -> (usize, usize) {
-        (
-            self.tiers.lock().expect("tiers lock").len(),
-            self.profiles.lock().expect("profiles lock").len(),
-        )
+    /// Kernels currently tracked by the autotuner (the `profiles` map
+    /// size, bounded by the tracking cap).
+    pub fn tracked_kernels(&self) -> usize {
+        self.profiles.lock().expect("profiles lock").len()
     }
 
     /// Enforces the tracking-map bound after a request may have added
     /// entries. Eviction prefers kernels no longer resident in the
     /// registry (the compile cache has moved on from them too); if
     /// everything tracked is still resident, the smallest hashes go —
-    /// the next request for one simply re-warms its tier state.
+    /// the next request for one simply starts a fresh profile.
     fn prune_tracked(&self) {
-        fn prune<V>(map: &mut BTreeMap<u64, V>, cap: usize, resident: impl Fn(u64) -> bool) {
-            if map.len() <= cap {
-                return;
-            }
-            map.retain(|hash, _| resident(*hash));
-            while map.len() > cap {
-                let evict = *map.keys().next().expect("map is over a nonzero cap");
-                map.remove(&evict);
-            }
+        let mut profiles = self.profiles.lock().expect("profiles lock");
+        if profiles.len() <= self.tracked_capacity {
+            return;
         }
-        let resident = |hash: u64| self.registry.peek(hash).is_some();
-        prune(
-            &mut self.tiers.lock().expect("tiers lock"),
-            self.tracked_capacity,
-            resident,
-        );
-        prune(
-            &mut self.profiles.lock().expect("profiles lock"),
-            self.tracked_capacity,
-            resident,
-        );
-    }
-
-    /// Picks the execution tier for one request and advances the
-    /// kernel's run count. An explicit request engine is honored
-    /// as-is; otherwise the per-hash policy promotes cold → tree,
-    /// warm → bytecode, hot → native (bytecode where the host has no
-    /// native back end). Returns the engine and whether this request
-    /// crossed a promotion boundary.
-    fn resolve_engine(&self, hash: u64, req: &Request) -> (Engine, bool) {
-        let mut tiers = self.tiers.lock().expect("tiers lock");
-        let entry = tiers.entry(hash).or_default();
-        let prior = entry.runs;
-        entry.runs += req.invocations.max(1);
-        let Some(explicit) = req.engine else {
-            let engine = if prior < TIER_WARM_RUNS {
-                Engine::TreeWalking
-            } else if prior < TIER_HOT_RUNS || !native_supported() {
-                Engine::Compiled
-            } else {
-                Engine::Native
-            };
-            let promoted = entry.last_rank != 0 && tier_rank(engine) > entry.last_rank;
-            entry.last_rank = tier_rank(engine);
-            return (engine, promoted);
-        };
-        (explicit, false)
-    }
-
-    /// The native-enabled plan for a hot kernel, built once per
-    /// (hash, spec, vl) and cached in the tier entry. Native code is
-    /// specialized to the ambient vector length, so a request at a new
-    /// width rebuilds the plan for that width.
-    fn native_plan(&self, hash: u64, spec: SpecRequest, base: &CompiledVProg) -> CompiledVProg {
-        let vl = flexvec_isa::vlen();
-        let mut tiers = self.tiers.lock().expect("tiers lock");
-        let entry = tiers.entry(hash).or_default();
-        match &entry.native {
-            Some((s, w, c)) if *s == spec && *w == vl => c.clone(),
-            _ => {
-                let mut c = base.clone();
-                c.enable_native();
-                entry.native = Some((spec, vl, c.clone()));
-                c
-            }
+        profiles.retain(|hash, _| self.registry.peek(*hash).is_some());
+        while profiles.len() > self.tracked_capacity {
+            let evict = *profiles.keys().next().expect("map is over a nonzero cap");
+            profiles.remove(&evict);
         }
     }
 
@@ -805,14 +703,17 @@ impl ServeEngine {
         // This applies to explicit-spec requests too: an explicit spec
         // pins the *variant*; the verification discipline is the same.
         let hash = compiled.program_hash;
-        let full_verify = compiled.plan.is_err()
-            || self
-                .profiles
-                .lock()
-                .expect("profiles lock")
-                .entry(hash)
-                .or_default()
-                .needs_verify(spec, &self.tune_cfg);
+        let (full_verify, proven) = match &compiled.plan {
+            Err(_) => (true, false),
+            Ok(_) => {
+                let mut profiles = self.profiles.lock().expect("profiles lock");
+                let p = profiles.entry(hash).or_default();
+                (
+                    p.needs_verify(spec, &self.tune_cfg),
+                    p.verified_spec() == Some(spec),
+                )
+            }
+        };
 
         // Scalar baseline on the OOO model.
         let mut scalar_state = None;
@@ -865,30 +766,29 @@ impl ServeEngine {
             });
         };
 
-        // Vector execution on a fresh memory image, on the tier the
-        // policy (or an explicit request engine) picked.
-        let (engine, promoted) = self.resolve_engine(compiled.program_hash, req);
-        let native = (engine == Engine::Native)
-            .then(|| self.native_plan(compiled.program_hash, spec, &plan.compiled));
-        self.record_tier(engine, promoted);
+        // Vector execution on a fresh memory image: native code once
+        // the variant has passed verification (or when pinned), the
+        // bytecode plan otherwise or where no native code exists.
+        let wants_native = match req.engine {
+            None => proven,
+            Some(engine) => engine == Engine::Native,
+        };
+        let native = if wants_native { plan.native() } else { None };
+        let exe = native.unwrap_or(&plan.compiled);
         let mut mem_v = AddressSpace::new();
         let bind_v = bind_arrays(&mut mem_v);
         let mut sim_v = OooSim::new(config);
-        let mut scratch = match &native {
-            Some(c) => c.scratch(),
-            None => plan.compiled.scratch(),
-        };
+        let mut scratch = exe.scratch();
         let mut vector_final = None;
         let mut last_stats = VectorStats::default();
         let mut agg_stats = VectorStats::default();
         mem_v.reset_cache_stats();
-        let label = match engine {
-            Engine::TreeWalking => "tree-walking",
-            Engine::Compiled => "compiled",
-            Engine::Native => "native",
-        };
         let mut throughput = ThroughputReport::new(
-            label,
+            if native.is_some() {
+                "native"
+            } else {
+                "compiled"
+            },
             Duration::ZERO,
             0,
             0,
@@ -896,28 +796,17 @@ impl ServeEngine {
         );
         let wall_start = Instant::now();
         for _ in 0..invocations {
-            let step = match engine {
-                Engine::Compiled | Engine::Native => run_vector_precompiled_cancellable(
-                    program,
-                    &plan.vectorized.vprog,
-                    native.as_ref().unwrap_or(&plan.compiled),
-                    &mut scratch,
-                    &mut mem_v,
-                    bind_v.clone(),
-                    &mut sim_v,
-                    cancel,
-                ),
-                Engine::TreeWalking => run_vector_with_engine_cancellable(
-                    program,
-                    &plan.vectorized.vprog,
-                    &mut mem_v,
-                    bind_v.clone(),
-                    &mut sim_v,
-                    Engine::TreeWalking,
-                    cancel,
-                ),
-            };
-            let (r, s) = step.map_err(|e| map_exec("vector", e))?;
+            let (r, s) = run_vector_precompiled_cancellable(
+                program,
+                &plan.vectorized.vprog,
+                exe,
+                &mut scratch,
+                &mut mem_v,
+                bind_v.clone(),
+                &mut sim_v,
+                cancel,
+            )
+            .map_err(|e| map_exec("vector", e))?;
             throughput.add_stats(&s);
             agg_stats.chunks += s.chunks;
             agg_stats.vpl_iterations += s.vpl_iterations;
@@ -1008,7 +897,7 @@ impl ServeEngine {
             }
         };
 
-        self.record_totals(&agg_stats, &throughput);
+        self.record_totals(native.is_some(), &agg_stats, &throughput);
         Ok(ExecOutcome {
             kind: match plan.vectorized.kind {
                 flexvec::VectorizedKind::Traditional => "traditional",
@@ -1023,20 +912,18 @@ impl ServeEngine {
         })
     }
 
-    /// Counts one vector execution on its tier, and the promotion
-    /// event when the tier policy just moved the kernel up.
-    fn record_tier(&self, engine: Engine, promoted: bool) {
+    /// Folds one vector execution into the process-lifetime totals
+    /// `/metrics` exports: its executor's tier counter plus the run's
+    /// engine counters.
+    fn record_totals(&self, native: bool, stats: &VectorStats, throughput: &ThroughputReport) {
         let mut totals = self.totals.lock().expect("totals lock");
-        *totals.entry(tier_counter(engine)).or_insert(0) += 1;
-        if promoted {
-            *totals.entry("tier_promotions").or_insert(0) += 1;
-        }
-    }
-
-    /// Folds one run's engine counters into the process-lifetime
-    /// totals `/metrics` exports.
-    fn record_totals(&self, stats: &VectorStats, throughput: &ThroughputReport) {
-        let mut totals = self.totals.lock().expect("totals lock");
+        *totals
+            .entry(if native {
+                "tier_native"
+            } else {
+                "tier_bytecode"
+            })
+            .or_insert(0) += 1;
         let mut add = |samples: Vec<StatSample>| {
             for s in samples {
                 *totals.entry(s.name).or_insert(0) += s.value;
@@ -1204,18 +1091,10 @@ impl ServeEngine {
             ),
             ("compiles", Json::from(self.cache.compiles())),
             ("kernels_registered", Json::from(self.registry.len() as u64)),
-            (
-                "kernels_tracked",
-                Json::from(self.tracked_kernels().0 as u64),
-            ),
+            ("kernels_tracked", Json::from(self.tracked_kernels() as u64)),
             ("tracked_capacity", Json::from(self.tracked_capacity as u64)),
-            ("tier_tree_total", Json::from(total("tier_tree"))),
             ("tier_bytecode_total", Json::from(total("tier_bytecode"))),
             ("tier_native_total", Json::from(total("tier_native"))),
-            (
-                "tier_promotions_total",
-                Json::from(total("tier_promotions")),
-            ),
             ("native_supported", Json::from(native_supported())),
             (
                 "snapshot_dir",
@@ -1505,72 +1384,6 @@ for (i = 0; i < 64; i++) {
             .any(|s| s.name == "flexvec_cache_compiles_total" && s.value == 1));
     }
 
-    #[test]
-    fn tier_policy_promotes_cold_to_warm_to_hot() {
-        let engine = ServeEngine::new(0);
-        let mut auto_req = req(Op::Run, Some(MINLOC), None);
-        auto_req.engine = None;
-
-        // One request = one run, so request k sees a prior count of
-        // k-1: tree below TIER_WARM_RUNS, bytecode below
-        // TIER_HOT_RUNS, native after (bytecode on hosts without the
-        // back end).
-        let labels: Vec<String> = (0..=TIER_HOT_RUNS)
-            .map(|_| {
-                let r = engine.handle(&auto_req, None).unwrap();
-                field(&r.fields, "engine").as_str().unwrap().to_owned()
-            })
-            .collect();
-        let warm = TIER_WARM_RUNS as usize;
-        let hot = TIER_HOT_RUNS as usize;
-        assert!(labels[..warm].iter().all(|l| l == "tree-walking"));
-        assert!(labels[warm..hot].iter().all(|l| l == "compiled"));
-        assert_eq!(
-            labels[hot],
-            if native_supported() {
-                "native"
-            } else {
-                "compiled"
-            }
-        );
-
-        let stats = engine.stats_fields();
-        let total = |name: &str| field(&stats, name).as_u64().unwrap();
-        assert_eq!(total("tier_tree_total"), TIER_WARM_RUNS);
-        if native_supported() {
-            assert_eq!(total("tier_bytecode_total"), TIER_HOT_RUNS - TIER_WARM_RUNS);
-            assert_eq!(total("tier_native_total"), 1);
-            assert_eq!(
-                total("tier_promotions_total"),
-                2,
-                "tree→bytecode and bytecode→native"
-            );
-        } else {
-            assert_eq!(
-                total("tier_bytecode_total"),
-                TIER_HOT_RUNS - TIER_WARM_RUNS + 1
-            );
-            assert_eq!(total("tier_native_total"), 0);
-            assert_eq!(total("tier_promotions_total"), 1, "tree→bytecode only");
-        }
-    }
-
-    #[test]
-    fn explicit_engine_bypasses_the_tier_policy() {
-        let engine = ServeEngine::new(0);
-        let r = engine
-            .handle(&req(Op::Run, Some(MINLOC), None), None)
-            .unwrap();
-        assert_eq!(field(&r.fields, "engine").as_str(), Some("compiled"));
-        let stats = engine.stats_fields();
-        assert_eq!(field(&stats, "tier_tree_total").as_u64(), Some(0));
-        assert_eq!(
-            field(&stats, "tier_promotions_total").as_u64(),
-            Some(0),
-            "explicit engines never count as promotions"
-        );
-    }
-
     /// Store between a speculative load and its conditional update:
     /// rejected under Auto (store inside an FF VPL) with the RTM hint,
     /// clean under RTM.
@@ -1639,6 +1452,127 @@ for (i = 0; i < 2048; i++) {
         field(fields, "autotune_kernels")
             .get(hash)
             .expect("kernel profiled")
+    }
+
+    /// The reply label of a run once its variant is verified: native
+    /// code where the host has a JIT, the bytecode otherwise.
+    fn steady_label() -> &'static str {
+        if native_supported() {
+            "native"
+        } else {
+            "compiled"
+        }
+    }
+
+    fn engine_and_verified(out: &OpResult) -> (&str, bool) {
+        (
+            field(&out.fields, "engine").as_str().unwrap(),
+            field(&out.fields, "verified").as_bool().unwrap(),
+        )
+    }
+
+    #[test]
+    fn verified_variants_run_native_and_new_variants_start_on_bytecode() {
+        let engine = ServeEngine::new(0);
+        let mut auto_req = req(Op::Run, Some(MINLOC), None);
+        auto_req.engine = None;
+        let first = engine.handle(&auto_req, None).unwrap();
+        assert_eq!(engine_and_verified(&first), ("compiled", true));
+        let second = engine.handle(&auto_req, None).unwrap();
+        assert_eq!(engine_and_verified(&second), (steady_label(), false));
+        // A `compiled` pin runs the bytecode even once verified.
+        let pinned = engine
+            .handle(&req(Op::Run, Some(MINLOC), None), None)
+            .unwrap();
+        assert_eq!(engine_and_verified(&pinned), ("compiled", false));
+        let stats = engine.stats_fields();
+        let native_runs = u64::from(native_supported());
+        assert_eq!(stat_u64(&stats, "tier_native_total"), native_runs);
+        assert_eq!(stat_u64(&stats, "tier_bytecode_total"), 3 - native_runs);
+
+        // The autotuner moves this kernel from rtm:1024 to rtm:512;
+        // each variant's first run verifies on the bytecode, and the
+        // runs after it use native code.
+        let mut conflicty = req(Op::Run, Some(CONFLICTY), None);
+        conflicty.engine = None;
+        let mut runs: Vec<(String, String, bool)> = Vec::new();
+        while runs.last().is_none_or(|(spec, _, _)| spec != "rtm:512") {
+            assert!(runs.len() < 64, "never respecialized to rtm:512");
+            let out = engine.handle(&conflicty, None).unwrap();
+            let (label, verified) = engine_and_verified(&out);
+            let spec = field(&out.fields, "spec").as_str().unwrap().to_owned();
+            runs.push((spec, label.to_owned(), verified));
+        }
+        let variant = |spec: &str| -> Vec<(&str, bool)> {
+            runs.iter()
+                .filter(|(s, _, _)| s == spec)
+                .map(|(_, label, verified)| (label.as_str(), *verified))
+                .collect()
+        };
+        let rtm1024 = variant("rtm:1024");
+        assert!(rtm1024.len() >= 2, "{runs:?}");
+        assert_eq!(rtm1024[0], ("compiled", true));
+        assert_eq!(rtm1024[1], (steady_label(), false));
+        assert_eq!(variant("rtm:512"), [("compiled", true)]);
+    }
+
+    #[test]
+    fn verified_kernel_runs_native_at_each_width_with_one_jit_per_width() {
+        let engine = ServeEngine::new(0);
+        let mut r = req(Op::Run, Some(MINLOC), None);
+        r.engine = None;
+        r.vl = Some(16);
+        let first = engine.handle(&r, None).unwrap();
+        assert_eq!(engine_and_verified(&first), ("compiled", true));
+
+        let kernel = parse_str("<test>", MINLOC).unwrap();
+        let (compiled, _) = engine
+            .cache()
+            .get_or_compile(&kernel.program, SpecRequest::Auto);
+        let plan = compiled.plan.as_ref().unwrap();
+        // The native program the cache entry holds for one width.
+        let jit_at = |vl: usize| {
+            flexvec_isa::with_vlen(vl, || {
+                plan.native().map(|c| c as *const flexvec_vm::CompiledVProg)
+            })
+        };
+        let mut built = Vec::new();
+        for vl in [16, 32, 16, 32] {
+            r.vl = Some(vl);
+            let out = engine.handle(&r, None).unwrap();
+            assert_eq!(engine_and_verified(&out), (steady_label(), false));
+            built.push(jit_at(vl));
+        }
+        // Alternating widths reuse each width's build.
+        assert_eq!(built[0], built[2]);
+        assert_eq!(built[1], built[3]);
+        if native_supported() {
+            assert!(built[0].is_some() && built[1].is_some());
+            assert_ne!(built[0], built[1], "one build per width");
+        }
+        assert_eq!(
+            stat_u64(&engine.stats_fields(), "tier_native_total"),
+            4 * u64::from(native_supported())
+        );
+    }
+
+    #[test]
+    fn engine_label_reports_the_executor_that_ran() {
+        let engine = ServeEngine::new(0);
+        let mut r = req(Op::Run, Some(MINLOC), None);
+        r.engine = Some(Engine::Native);
+        let out = engine.handle(&r, None).unwrap();
+        let ran_native = native_supported();
+        assert_eq!(
+            field(&out.fields, "engine").as_str(),
+            Some(if ran_native { "native" } else { "compiled" })
+        );
+        let stats = engine.stats_fields();
+        assert_eq!(stat_u64(&stats, "tier_native_total"), u64::from(ran_native));
+        assert_eq!(
+            stat_u64(&stats, "tier_bytecode_total"),
+            u64::from(!ran_native)
+        );
     }
 
     #[test]
@@ -1855,8 +1789,7 @@ for (i = 16; i < 128; i++) {
                 .handle(&req(Op::Run, Some(&source), None), None)
                 .unwrap();
         }
-        let (tiers, profiles) = engine.tracked_kernels();
-        assert!(tiers <= 8, "tiers map grew to {tiers}");
+        let profiles = engine.tracked_kernels();
         assert!(profiles <= 8, "profiles map grew to {profiles}");
         let stats = engine.stats_fields();
         assert_eq!(field(&stats, "tracked_capacity").as_u64(), Some(8));

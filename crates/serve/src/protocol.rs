@@ -7,7 +7,7 @@
 //! ```text
 //! {"op":"compile","id":1,"source":"kernel k; ..."}
 //! {"op":"run","id":2,"hash":"00c0ffee00c0ffee","spec":"rtm:128","deadline_ms":250}
-//! {"op":"bench","id":3,"source":"...","invocations":32,"engine":"tree"}
+//! {"op":"bench","id":3,"source":"...","invocations":32,"engine":"compiled"}
 //! {"op":"stats","id":4}
 //! ```
 //!
@@ -171,10 +171,11 @@ pub struct Request {
     /// omitted one lets the per-kernel profile pick the speculation
     /// strategy.
     pub spec_explicit: bool,
-    /// Execution engine. `None` (the wire value `auto`, and the
-    /// default) lets the daemon's tier policy pick: kernels start on
-    /// the tree walker and are promoted to bytecode and then native
-    /// code as their per-hash run count grows.
+    /// Execution engine: `compiled` (bytecode) or `native` (JIT, where
+    /// the host has one). `None` (the wire value `auto`, and the
+    /// default) runs a variant on the bytecode until it has passed
+    /// verification and on native code after. The tree walker is a
+    /// local test oracle; the daemon refuses `tree`.
     pub engine: Option<Engine>,
     /// Vector length the kernel executes at. `None` (the default)
     /// means the daemon's ambient width
@@ -219,20 +220,24 @@ pub fn parse_spec(value: &str) -> Result<SpecRequest, String> {
     }
 }
 
-/// Parses `engine` wire values — same vocabulary as `flexvecc
-/// --engine`, plus `auto` (`None`) for the daemon's tier policy.
+/// Parses `engine` wire values: `compiled`, `native`, or `auto`
+/// (`None`) for the daemon's verify-then-native rule.
 ///
 /// # Errors
 ///
-/// Describes the accepted values on anything else.
+/// Describes the accepted values on anything else, including `tree`,
+/// which `flexvecc` runs locally but the daemon does not.
 pub fn parse_engine(value: &str) -> Result<Option<Engine>, String> {
     match value {
         "auto" => Ok(None),
-        "tree" | "tree-walking" => Ok(Some(Engine::TreeWalking)),
         "compiled" => Ok(Some(Engine::Compiled)),
         "native" => Ok(Some(Engine::Native)),
+        "tree" | "tree-walking" => Err(format!(
+            "engine `{value}` is not served: the tree walker runs only locally \
+             (expected `auto`, `compiled`, or `native`)"
+        )),
         other => Err(format!(
-            "invalid engine `{other}` (expected `auto`, `tree`, `compiled`, or `native`)"
+            "invalid engine `{other}` (expected `auto`, `compiled`, or `native`)"
         )),
     }
 }
@@ -395,10 +400,10 @@ impl Request {
             pairs.push(("spec", Json::from(spec)));
         }
         if let Some(engine) = self.engine {
-            let engine = match engine {
-                Engine::TreeWalking => "tree",
-                Engine::Compiled => "compiled",
-                Engine::Native => "native",
+            let engine = if engine == Engine::Native {
+                "native"
+            } else {
+                "compiled"
             };
             pairs.push(("engine", Json::from(engine)));
         }
@@ -447,7 +452,7 @@ mod tests {
     #[test]
     fn parses_a_full_request() {
         let r = Request::parse(
-            r#"{"op":"bench","id":9,"hash":"00000000000000ff","spec":"rtm:64","engine":"tree","invocations":32,"deadline_ms":250}"#,
+            r#"{"op":"bench","id":9,"hash":"00000000000000ff","spec":"rtm:64","engine":"native","invocations":32,"deadline_ms":250}"#,
         )
         .unwrap();
         assert_eq!(r.id, 9);
@@ -455,7 +460,7 @@ mod tests {
         assert_eq!(r.hash, Some(0xff));
         assert_eq!(r.spec, SpecRequest::Rtm { tile: 64 });
         assert!(r.spec_explicit);
-        assert_eq!(r.engine, Some(Engine::TreeWalking));
+        assert_eq!(r.engine, Some(Engine::Native));
         assert_eq!(r.invocations, 32);
         assert_eq!(r.deadline_ms, Some(250));
     }
@@ -466,22 +471,21 @@ mod tests {
         assert_eq!(r.id, 0);
         assert_eq!(r.spec, SpecRequest::Auto);
         assert!(!r.spec_explicit, "omitted spec means the autotuner");
-        assert_eq!(r.engine, None, "omitted engine means the tier policy");
+        assert_eq!(r.engine, None, "omitted engine means verify, then native");
         assert_eq!(r.invocations, 1);
         assert_eq!(r.deadline_ms, None);
     }
 
     #[test]
-    fn engine_vocabulary_covers_all_tiers() {
+    fn engine_vocabulary_is_the_served_executors() {
         assert_eq!(parse_engine("auto").unwrap(), None);
-        assert_eq!(parse_engine("tree").unwrap(), Some(Engine::TreeWalking));
-        assert_eq!(
-            parse_engine("tree-walking").unwrap(),
-            Some(Engine::TreeWalking)
-        );
         assert_eq!(parse_engine("compiled").unwrap(), Some(Engine::Compiled));
         assert_eq!(parse_engine("native").unwrap(), Some(Engine::Native));
         assert!(parse_engine("quantum").is_err());
+        for tree in ["tree", "tree-walking"] {
+            let err = parse_engine(tree).unwrap_err();
+            assert!(err.contains("only locally"), "{err}");
+        }
     }
 
     #[test]
@@ -513,6 +517,10 @@ mod tests {
             ),
             (
                 r#"{"op":"run","source":"k","engine":"quantum"}"#,
+                ErrorKind::BadRequest,
+            ),
+            (
+                r#"{"op":"run","source":"k","engine":"tree"}"#,
                 ErrorKind::BadRequest,
             ),
             (
@@ -578,7 +586,7 @@ mod tests {
 
     #[test]
     fn to_json_round_trips_through_parse() {
-        let line = r#"{"op":"bench","id":9,"hash":"00000000000000ff","spec":"rtm:64","engine":"tree","invocations":32,"deadline_ms":250}"#;
+        let line = r#"{"op":"bench","id":9,"hash":"00000000000000ff","spec":"rtm:64","engine":"native","invocations":32,"deadline_ms":250}"#;
         let r = Request::parse(line).unwrap();
         let relayed = Request::parse(&r.to_json(true).to_string()).unwrap();
         assert_eq!(relayed.id, r.id);

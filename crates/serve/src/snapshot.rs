@@ -618,10 +618,7 @@ impl SnapshotStore {
         let kernel = CompiledKernel {
             program_hash,
             analysis: analyze(&parsed.program),
-            plan: Ok(CompiledPlan {
-                vectorized,
-                compiled,
-            }),
+            plan: Ok(CompiledPlan::new(vectorized, compiled)),
         };
         Ok((kernel, parsed))
     }

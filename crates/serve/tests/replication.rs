@@ -13,7 +13,7 @@ use flexvec::SpecRequest;
 use flexvec_front::{parse_str, CompileCache, CompiledKernel, ParsedKernel};
 use flexvec_mem::AddressSpace;
 use flexvec_serve::{start, Client, Json, ServerConfig};
-use flexvec_vm::{run_vector_precompiled, Bindings, Uop, VecSink, VectorStats};
+use flexvec_vm::{run_vector_precompiled_with_scratch, Bindings, Uop, VecSink, VectorStats};
 
 /// Same conditional-update kernel family as the other serve suites.
 fn kernel_source(n: u64) -> String {
@@ -92,10 +92,11 @@ fn traced_run(
         .map(|(i, data)| mem.alloc_from(&format!("a{i}"), data))
         .collect();
     let mut sink = VecSink::default();
-    let (result, stats) = run_vector_precompiled(
+    let (result, stats) = run_vector_precompiled_with_scratch(
         &parsed.program,
         &plan.vectorized.vprog,
         &plan.compiled,
+        &mut plan.compiled.scratch(),
         &mut mem,
         Bindings::new(ids.clone()),
         &mut sink,

@@ -79,6 +79,10 @@ fn malformed_input_gets_structured_errors_and_keeps_the_connection() {
             r#"{"op":"run","source":"kernel k;","engine":"jet"}"#,
             "bad_request",
         ),
+        (
+            r#"{"op":"run","source":"kernel k;","engine":"tree"}"#,
+            "bad_request",
+        ),
         (r#"{"op":"run","hash":"zzzz"}"#, "bad_request"),
         (r#"{"op":"run","hash":"00ff"}"#, "unknown_hash"),
         (

@@ -22,11 +22,13 @@
 //! [`VectorStats`](crate::VectorStats), same µop stream in the same
 //! order — the crosscheck tests enforce this on randomized programs.
 
+use std::sync::OnceLock;
+
 use flexvec::{VNode, VOp, VProg};
 use flexvec_ir::BinOp;
 use flexvec_isa::{
     kftm_exc, kftm_inc, vcmp, vgather_ff, vlen, vpconflictm, vpslctlast, CmpOp, LaneMemory, Mask,
-    Vector, MAX_VLEN,
+    Vector, MAX_VLEN, SUPPORTED_VLENS,
 };
 
 use crate::trace::{Tok, TraceSink, Uop, UopClass};
@@ -243,8 +245,7 @@ pub struct CompiledVProg {
     /// Number of per-VPL iteration counters a run needs.
     num_counters: usize,
     /// The optional native x86-64 tier ([`CompiledVProg::enable_native`]).
-    /// Behind an `Arc` so clones (the serve compile cache hands out
-    /// clones) share the executable pages.
+    /// Behind an `Arc` so clones share the executable pages.
     native: Option<std::sync::Arc<crate::jit::NativeCode>>,
 }
 
@@ -261,6 +262,33 @@ pub struct ExecScratch {
     /// detection (`Mask::EMPTY` = no previous partition).
     prev_masks: Vec<Mask>,
     span: [i64; MAX_VLEN],
+}
+
+/// The native-code variants of one bytecode program, one slot per
+/// supported vector length. Each is built on first use at its width
+/// and at most once, so a cache entry that serves several widths keeps
+/// one JIT build per width instead of rebuilding on every width change.
+#[derive(Debug, Default)]
+pub struct NativeVariants([OnceLock<Option<CompiledVProg>>; SUPPORTED_VLENS.len()]);
+
+impl NativeVariants {
+    /// `base` with native code attached at the ambient vector length
+    /// (see [`CompiledVProg::enable_native`]), built the first time
+    /// this width asks. `None` when the host has no JIT back end or the
+    /// JIT declines the program; callers then run `base` itself.
+    pub fn get_or_build(&self, base: &CompiledVProg) -> Option<&CompiledVProg> {
+        let vl = vlen();
+        let slot = SUPPORTED_VLENS
+            .iter()
+            .position(|&w| w == vl)
+            .expect("the ambient vector length is always a supported one");
+        self.0[slot]
+            .get_or_init(|| {
+                let mut native = base.clone();
+                native.enable_native().then_some(native)
+            })
+            .as_ref()
+    }
 }
 
 impl CompiledVProg {

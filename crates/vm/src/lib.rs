@@ -33,7 +33,7 @@ mod trace;
 mod vector;
 
 pub use cancel::{CancelToken, SCALAR_CANCEL_STRIDE};
-pub use compiled::{CompiledVProg, ExecScratch};
+pub use compiled::{CompiledVProg, ExecScratch, NativeVariants};
 pub use jit::native_supported;
 pub use scalar::{
     run_scalar, run_scalar_cancellable, Bindings, ExecError, RunResult, ScalarMachine, StepOutcome,
@@ -43,7 +43,6 @@ pub use serial::{
 };
 pub use trace::{CountingSink, Tok, TraceSink, Uop, UopClass, VecSink, TEMP_BASE};
 pub use vector::{
-    run_all_or_nothing_with_engine, run_vector, run_vector_all_or_nothing, run_vector_precompiled,
-    run_vector_precompiled_cancellable, run_vector_precompiled_with_scratch,
-    run_vector_with_engine, run_vector_with_engine_cancellable, Engine, VectorStats,
+    run_all_or_nothing_with_engine, run_vector, run_vector_precompiled_cancellable,
+    run_vector_precompiled_with_scratch, run_vector_with_engine, Engine, VectorStats,
 };

@@ -634,27 +634,6 @@ pub fn run_vector_with_engine(
     sink: &mut dyn TraceSink,
     engine: Engine,
 ) -> Result<(RunResult, VectorStats), ExecError> {
-    run_vector_with_engine_cancellable(program, vprog, mem, bindings, sink, engine, None)
-}
-
-/// [`run_vector_with_engine`] with a cooperative
-/// [`CancelToken`](crate::CancelToken), polled at every chunk (and RTM
-/// tile) boundary.
-///
-/// # Errors
-///
-/// As [`run_vector`], plus [`ExecError::Cancelled`] when the token
-/// fires mid-run. A cancelled run makes no guarantee about partial
-/// memory effects — callers must discard the address space.
-pub fn run_vector_with_engine_cancellable(
-    program: &Program,
-    vprog: &VProg,
-    mem: &mut AddressSpace,
-    bindings: Bindings,
-    sink: &mut dyn TraceSink,
-    engine: Engine,
-    cancel: Option<&crate::CancelToken>,
-) -> Result<(RunResult, VectorStats), ExecError> {
     match engine {
         Engine::TreeWalking => run_with_body(
             program,
@@ -663,7 +642,7 @@ pub fn run_vector_with_engine_cancellable(
             bindings,
             sink,
             &mut EngineBody::Tree(vprog),
-            cancel,
+            None,
         ),
         Engine::Compiled | Engine::Native => {
             let mut compiled = CompiledVProg::compile(vprog);
@@ -672,7 +651,7 @@ pub fn run_vector_with_engine_cancellable(
                 compiled.enable_native();
             }
             let mut scratch = compiled.scratch();
-            run_vector_precompiled_cancellable(
+            run_vector_precompiled_with_scratch(
                 program,
                 vprog,
                 &compiled,
@@ -680,7 +659,6 @@ pub fn run_vector_with_engine_cancellable(
                 mem,
                 bindings,
                 sink,
-                cancel,
             )
         }
     }
@@ -690,27 +668,9 @@ pub fn run_vector_with_engine_cancellable(
 /// that execute the same `VProg` many times (the bench driver, the
 /// simulator sweeps, the front end's compile cache) pay the flattening
 /// cost once. The compiled program is read-only and can be shared across
-/// threads; a fresh [`ExecScratch`] is allocated per call — use
-/// [`run_vector_precompiled_with_scratch`] to reuse one across
-/// invocations.
-///
-/// # Errors
-///
-/// As [`run_vector`].
-pub fn run_vector_precompiled(
-    program: &Program,
-    vprog: &VProg,
-    compiled: &CompiledVProg,
-    mem: &mut AddressSpace,
-    bindings: Bindings,
-    sink: &mut dyn TraceSink,
-) -> Result<(RunResult, VectorStats), ExecError> {
-    let mut scratch = compiled.scratch();
-    run_vector_precompiled_with_scratch(program, vprog, compiled, &mut scratch, mem, bindings, sink)
-}
-
-/// [`run_vector_precompiled`] with a caller-provided scratch, so a hot
-/// loop over invocations allocates nothing per run.
+/// threads; the caller provides the per-run [`ExecScratch`]
+/// ([`CompiledVProg::scratch`]), so a hot loop over invocations that
+/// reuses one allocates nothing per run.
 ///
 /// # Errors
 ///
@@ -775,11 +735,11 @@ fn run_with_body(
     }
 }
 
-/// Runs a vectorized loop in *all-or-nothing* speculation mode: the
-/// chunk executes vector code only when no relaxed dependency fires; any
-/// detected dependency (a second VPL partition or an early exit) rolls
-/// the whole chunk back to scalar execution. This models the
-/// PACT'13-style speculative vectorization the paper compares against in
+/// Runs a vectorized loop in *all-or-nothing* speculation mode under an
+/// explicit [`Engine`]: the chunk executes vector code only when no
+/// relaxed dependency fires; any detected dependency (a second VPL
+/// partition or an early exit) rolls the whole chunk back to scalar
+/// execution. This models the PACT'13-style speculative vectorization the paper compares against in
 /// Section 2 ("if the condition is true for even only one of the lanes,
 /// execution falls back to scalar code").
 ///
@@ -791,21 +751,6 @@ fn run_with_body(
 ///
 /// Fails with [`ExecError::Internal`] for loops with stores inside the
 /// VPL; otherwise as [`run_vector`].
-pub fn run_vector_all_or_nothing(
-    program: &Program,
-    vprog: &VProg,
-    mem: &mut AddressSpace,
-    bindings: Bindings,
-    sink: &mut dyn TraceSink,
-) -> Result<(RunResult, VectorStats), ExecError> {
-    run_all_or_nothing_with_engine(program, vprog, mem, bindings, sink, Engine::default())
-}
-
-/// [`run_vector_all_or_nothing`] with an explicit [`Engine`].
-///
-/// # Errors
-///
-/// As [`run_vector_all_or_nothing`].
 pub fn run_all_or_nothing_with_engine(
     program: &Program,
     vprog: &VProg,

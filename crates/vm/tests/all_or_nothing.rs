@@ -1,5 +1,5 @@
 //! Directed tests for the all-or-nothing speculative-vectorization
-//! baseline (`run_vector_all_or_nothing`), the Section 2 PACT'13
+//! baseline (`run_all_or_nothing_with_engine`), the Section 2 PACT'13
 //! comparator: clean chunks execute as vector code, any detected
 //! dependency rolls the whole chunk back to scalar code, and loops whose
 //! VPL commits stores are rejected up front.
@@ -8,7 +8,9 @@ use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder, VarId};
 use flexvec_mem::AddressSpace;
-use flexvec_vm::{run_scalar, run_vector_all_or_nothing, Bindings, CountingSink, ExecError};
+use flexvec_vm::{
+    run_all_or_nothing_with_engine, run_scalar, Bindings, CountingSink, Engine, ExecError,
+};
 
 fn cond_min(n: i64) -> Program {
     let mut b = ProgramBuilder::new("cond_min");
@@ -47,12 +49,13 @@ fn run_aon(program: &Program, arrays: &[Vec<i64>]) -> (i64, flexvec_vm::VectorSt
         .map(|(i, d)| mem_v.alloc_from(&format!("a{i}"), d))
         .collect();
     let mut vsink = CountingSink::default();
-    let (vector, stats) = run_vector_all_or_nothing(
+    let (vector, stats) = run_all_or_nothing_with_engine(
         program,
         &vectorized.vprog,
         &mut mem_v,
         Bindings::new(ids_v),
         &mut vsink,
+        Engine::Compiled,
     )
     .unwrap();
     let live = program.live_out[0];
@@ -112,12 +115,13 @@ fn early_exit_rolls_back_to_scalar() {
     let mut mem = AddressSpace::new();
     let a_id = mem.alloc_from("a", &data);
     let mut sink = CountingSink::default();
-    let (r, stats) = run_vector_all_or_nothing(
+    let (r, stats) = run_all_or_nothing_with_engine(
         &p,
         &vectorized.vprog,
         &mut mem,
         Bindings::new(vec![a_id]),
         &mut sink,
+        Engine::Compiled,
     )
     .unwrap();
     assert!(r.broke);
@@ -152,12 +156,13 @@ fn vpl_stores_are_rejected() {
     let i0 = mem.alloc_from("idx", &[0i64; 32]);
     let i1 = mem.alloc_from("acc", &[0i64; 4]);
     let mut sink = CountingSink::default();
-    let err = run_vector_all_or_nothing(
+    let err = run_all_or_nothing_with_engine(
         &p,
         &vectorized.vprog,
         &mut mem,
         Bindings::new(vec![i0, i1]),
         &mut sink,
+        Engine::Compiled,
     )
     .unwrap_err();
     assert!(matches!(err, ExecError::Internal(_)), "{err}");
@@ -180,12 +185,13 @@ fn aon_is_never_faster_than_flexvec_on_dirty_data() {
         let a = mem.alloc_from("a", &data);
         let mut sink = CountingSink::default();
         if aon {
-            run_vector_all_or_nothing(
+            run_all_or_nothing_with_engine(
                 &p,
                 &vectorized.vprog,
                 &mut mem,
                 Bindings::new(vec![a]),
                 &mut sink,
+                Engine::Compiled,
             )
             .unwrap();
         } else {
