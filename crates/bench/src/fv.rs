@@ -1,25 +1,21 @@
 //! Batch evaluation of `.fv` kernels — the engine behind `flexvecc`.
 //!
-//! Mirrors the workload harness in `flexvec-workloads`: every kernel is
-//! executed scalar (the baseline) and — when the vectorizer accepts it —
-//! as FlexVec vector code on the Table 1 out-of-order model, with the
-//! two executions verified against each other (live-outs and every array
-//! element). The analyze→vectorize→bytecode-compile middle of the
+//! Uses the measurement harness in [`flexvec_profiler::measure`]: every
+//! kernel is executed scalar (the baseline) and — when the vectorizer
+//! accepts it — as FlexVec vector code on the Table 1 out-of-order
+//! model, with the two executions verified against each other
+//! (live-outs and every array element). The analyze→vectorize→bytecode-compile middle of the
 //! pipeline goes through a shared [`CompileCache`], so resubmitting a
 //! corpus in the same process is pure cache hits.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use flexvec::{SpecRequest, VectorizedKind};
 use flexvec_front::{parse_file, CompileCache, ParsedKernel};
-use flexvec_mem::AddressSpace;
+use flexvec_profiler::measure::{live_outs, verify, Executor, Harness};
 use flexvec_profiler::ThroughputReport;
-use flexvec_sim::{OooSim, SimConfig};
-use flexvec_vm::{
-    run_scalar, run_vector_precompiled_with_scratch, run_vector_with_engine, Bindings, Engine,
-    TraceSink, VectorStats,
-};
+use flexvec_sim::SimConfig;
+use flexvec_vm::{Engine, VectorStats};
 
 /// Measured outcome of one vectorized `.fv` kernel.
 #[derive(Clone, Debug)]
@@ -166,149 +162,46 @@ pub fn evaluate_fv_file(
     let program = &kernel.program;
     let arrays = kernel.materialize_arrays();
     let config = SimConfig::table1();
-    let invocations = invocations.max(1);
+    let harness = Harness::new(program, &arrays, &config, invocations);
 
-    let bind_arrays = |mem: &mut AddressSpace| -> Bindings {
-        let ids: Vec<_> = arrays
-            .iter()
-            .enumerate()
-            .map(|(i, data)| mem.alloc_from(&format!("{}_{i}", program.name), data))
-            .collect();
-        Bindings::new(ids)
-    };
-
-    // Baseline: scalar execution on the OOO model.
-    let mut mem_s = AddressSpace::new();
-    let bind_s = bind_arrays(&mut mem_s);
-    let mut sim_s = OooSim::new(config.clone());
-    let mut scalar_final = None;
-    for _ in 0..invocations {
-        match run_scalar(program, &mut mem_s, bind_s.clone(), &mut sim_s) {
-            Ok(r) => scalar_final = Some(r),
-            Err(e) => {
-                report.error = Some(format!("scalar execution failed: {e}"));
-                return report;
-            }
+    let scalar = match harness.scalar() {
+        Ok(run) => run,
+        Err(e) => {
+            report.error = Some(format!("scalar execution failed: {e}"));
+            return report;
         }
-    }
-    let scalar_run = scalar_final.expect("at least one invocation");
-    let scalar_cycles = sim_s.result().cycles;
-    let live_outs: Vec<(String, i64)> = program
-        .live_out
-        .iter()
-        .map(|v| (program.var_name(*v).to_owned(), scalar_run.var(*v)))
-        .collect();
+    };
+    let live_outs = live_outs(program, &scalar.result);
 
     let Ok(plan) = &compiled.plan else {
         // Not vectorizable: the scalar baseline is the only execution.
         report.run = Some(FvRun {
             kind: "scalar-only",
-            scalar_cycles,
-            vector_cycles: scalar_cycles,
+            scalar_cycles: scalar.cycles,
+            vector_cycles: scalar.cycles,
             region_speedup: 1.0,
             stats: VectorStats::default(),
-            throughput: ThroughputReport::new(
-                "scalar",
-                std::time::Duration::ZERO,
-                0,
-                sim_s.len(),
-                flexvec_mem::PageCacheStats::default(),
-            ),
+            throughput: scalar.throughput(),
             live_outs,
         });
         return report;
     };
 
-    // Vector execution on a fresh memory image. The native tier needs
-    // its own plan clone: the cached one is shared and immutable.
-    let native = (engine == Engine::Native).then(|| {
-        let mut c = plan.compiled.clone();
-        c.enable_native();
-        c
-    });
-    let mut mem_v = AddressSpace::new();
-    let bind_v = bind_arrays(&mut mem_v);
-    let mut sim_v = OooSim::new(config);
-    let mut scratch = match &native {
-        Some(c) => c.scratch(),
-        None => plan.compiled.scratch(),
+    let executor = match engine {
+        Engine::TreeWalking => Executor::Tree,
+        Engine::Compiled => Executor::Compiled(&plan.compiled),
+        Engine::Native => Executor::Compiled(plan.native().unwrap_or(&plan.compiled)),
     };
-    let mut vector_final = None;
-    let mut stats = VectorStats::default();
-    mem_v.reset_cache_stats();
-    let label = match engine {
-        Engine::TreeWalking => "tree-walking",
-        Engine::Compiled => "compiled",
-        Engine::Native => "native",
-    };
-    let mut throughput = ThroughputReport::new(
-        label,
-        std::time::Duration::ZERO,
-        0,
-        0,
-        flexvec_mem::PageCacheStats::default(),
-    );
-    let wall_start = Instant::now();
-    for _ in 0..invocations {
-        let step = match engine {
-            Engine::Compiled | Engine::Native => run_vector_precompiled_with_scratch(
-                program,
-                &plan.vectorized.vprog,
-                native.as_ref().unwrap_or(&plan.compiled),
-                &mut scratch,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-            ),
-            Engine::TreeWalking => run_vector_with_engine(
-                program,
-                &plan.vectorized.vprog,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-                Engine::TreeWalking,
-            ),
-        };
-        match step {
-            Ok((r, s)) => {
-                throughput.add_stats(&s);
-                vector_final = Some(r);
-                stats = s;
-            }
-            Err(e) => {
-                report.error = Some(format!("vector execution failed: {e}"));
-                return report;
-            }
-        }
-    }
-    throughput.wall = wall_start.elapsed();
-    throughput.page_cache = mem_v.cache_stats();
-    throughput.uops = sim_v.len();
-    let vector_run = vector_final.expect("at least one invocation");
-    let vector_cycles = sim_v.result().cycles;
-
-    // Verification: live-outs and every array byte must agree.
-    for v in &program.live_out {
-        if scalar_run.var(*v) != vector_run.var(*v) {
-            report.error = Some(format!(
-                "scalar/vector mismatch: live-out {} is {} scalar vs {} vector",
-                program.var_name(*v),
-                scalar_run.var(*v),
-                vector_run.var(*v)
-            ));
+    let vector = match harness.vector(&plan.vectorized.vprog, executor) {
+        Ok(run) => run,
+        Err(e) => {
+            report.error = Some(format!("vector execution failed: {e}"));
             return report;
         }
-    }
-    for i in 0..arrays.len() {
-        let a = bind_s.array(i as u32);
-        let b = bind_v.array(i as u32);
-        if mem_s.snapshot_array(a) != mem_v.snapshot_array(b) {
-            report.error = Some(format!(
-                "scalar/vector mismatch: array {} differs",
-                program.array_name(flexvec_ir::ArraySym(i as u32))
-            ));
-            return report;
-        }
+    };
+    if let Err(m) = verify(program, &scalar, &vector) {
+        report.error = Some(format!("scalar/vector mismatch: {m}"));
+        return report;
     }
 
     report.run = Some(FvRun {
@@ -316,11 +209,11 @@ pub fn evaluate_fv_file(
             VectorizedKind::Traditional => "traditional",
             VectorizedKind::FlexVec => "flexvec",
         },
-        scalar_cycles,
-        vector_cycles,
-        region_speedup: scalar_cycles as f64 / vector_cycles.max(1) as f64,
-        stats,
-        throughput,
+        scalar_cycles: scalar.cycles,
+        vector_cycles: vector.cycles,
+        region_speedup: scalar.cycles as f64 / vector.cycles.max(1) as f64,
+        stats: vector.stats,
+        throughput: vector.throughput,
         live_outs,
     });
     report

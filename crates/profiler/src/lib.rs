@@ -16,9 +16,15 @@
 //! count 16, minimum effective vector length 6, minimum coverage ≈5%, and
 //! the cost-model rule rejecting loops whose vector memory-to-compute
 //! ratio exceeds 2.
+//!
+//! [`measure`] is the measurement procedure itself: a timed scalar
+//! baseline and a timed vector run on the out-of-order model, verified
+//! against each other.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod measure;
 
 use std::time::Duration;
 

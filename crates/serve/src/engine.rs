@@ -21,10 +21,10 @@
 //! audit re-verification. Requests that pin `spec` explicitly follow
 //! the same verification discipline for their pinned variant — the pin
 //! bypasses *adaptation*, not verification — so a fixed-spec daemon
-//! and an autotuned one are comparable like-for-like. Every run goes
-//! through the
-//! *cancellable* executor entry points so a request deadline or a
-//! daemon drain stops the VPL loop at the next chunk boundary.
+//! and an autotuned one are comparable like-for-like. The timed runs
+//! and the comparison are [`flexvec_profiler::measure`]'s, with the
+//! request's cancel token, so a request deadline or a daemon drain
+//! stops the VPL loop at the next chunk boundary.
 //!
 //! The same bookkeeping picks the executor. A variant that has not yet
 //! passed verification runs the cached bytecode plan; once it has
@@ -46,13 +46,10 @@ use std::time::{Duration, Instant};
 
 use flexvec::{program_hash, ShardedCache, SpecRequest};
 use flexvec_front::{parse_str, to_fv, CacheOutcome, CompileCache, CompiledKernel, ParsedKernel};
-use flexvec_mem::AddressSpace;
+use flexvec_profiler::measure::{live_outs, verify, Executor, Harness};
 use flexvec_profiler::{throughput_samples, vector_stat_samples, StatSample, ThroughputReport};
-use flexvec_sim::{OooSim, SimConfig};
-use flexvec_vm::{
-    native_supported, run_scalar_cancellable, run_vector_precompiled_cancellable, Bindings,
-    CancelToken, Engine, TraceSink, VectorStats,
-};
+use flexvec_sim::SimConfig;
+use flexvec_vm::{native_supported, CancelToken, Engine, VectorStats};
 
 use crate::autotune::{AutotuneConfig, KernelProfile, Observation, DECISION_REASONS};
 use crate::json::Json;
@@ -684,15 +681,6 @@ impl ServeEngine {
             }
         }
 
-        let bind_arrays = |mem: &mut AddressSpace| -> Bindings {
-            let ids: Vec<_> = arrays
-                .iter()
-                .enumerate()
-                .map(|(i, data)| mem.alloc_from(&format!("{}_{i}", program.name), data))
-                .collect();
-            Bindings::new(ids)
-        };
-
         // Verified-once gate: the scalar baseline (and the element-
         // for-element comparison below) runs on the first execution of
         // each (kernel, spec) variant and on every audit after
@@ -715,37 +703,14 @@ impl ServeEngine {
             }
         };
 
-        // Scalar baseline on the OOO model.
-        let mut scalar_state = None;
-        if full_verify {
-            let mut mem_s = AddressSpace::new();
-            let bind_s = bind_arrays(&mut mem_s);
-            let mut sim_s = OooSim::new(config.clone());
-            let mut scalar_final = None;
-            let scalar_start = Instant::now();
-            for _ in 0..invocations {
-                let r =
-                    run_scalar_cancellable(program, &mut mem_s, bind_s.clone(), &mut sim_s, cancel)
-                        .map_err(|e| map_exec("scalar", e))?;
-                scalar_final = Some(r);
-            }
-            scalar_state = Some(ScalarBaseline {
-                wall: scalar_start.elapsed(),
-                cycles: sim_s.result().cycles,
-                uops: sim_s.len(),
-                run: scalar_final.expect("at least one invocation"),
-                mem: mem_s,
-                bind: bind_s,
-            });
-        }
+        let harness = Harness::new(program, &arrays, &config, invocations).with_cancel(cancel);
+        let scalar = full_verify
+            .then(|| harness.scalar())
+            .transpose()
+            .map_err(|e| map_exec("scalar", e))?;
 
         let Ok(plan) = &compiled.plan else {
-            let base = scalar_state.expect("scalar-only plans always run the baseline");
-            let live_outs = program
-                .live_out
-                .iter()
-                .map(|v| (program.var_name(*v).to_owned(), base.run.var(*v)))
-                .collect();
+            let base = scalar.expect("scalar-only plans always run the baseline");
             return Ok(ExecOutcome {
                 kind: "scalar-only",
                 verified: true,
@@ -755,14 +720,8 @@ impl ServeEngine {
                 // The wall is the scalar loop's: it is the latency an
                 // implicit-spec request actually paid, which is what
                 // the autotuner's Auto-variant EWMA must see.
-                throughput: ThroughputReport::new(
-                    "scalar",
-                    base.wall,
-                    0,
-                    base.uops,
-                    flexvec_mem::PageCacheStats::default(),
-                ),
-                live_outs,
+                throughput: base.throughput(),
+                live_outs: live_outs(program, &base.result),
             });
         };
 
@@ -775,83 +734,17 @@ impl ServeEngine {
         };
         let native = if wants_native { plan.native() } else { None };
         let exe = native.unwrap_or(&plan.compiled);
-        let mut mem_v = AddressSpace::new();
-        let bind_v = bind_arrays(&mut mem_v);
-        let mut sim_v = OooSim::new(config);
-        let mut scratch = exe.scratch();
-        let mut vector_final = None;
-        let mut last_stats = VectorStats::default();
-        let mut agg_stats = VectorStats::default();
-        mem_v.reset_cache_stats();
-        let mut throughput = ThroughputReport::new(
-            if native.is_some() {
-                "native"
-            } else {
-                "compiled"
-            },
-            Duration::ZERO,
-            0,
-            0,
-            flexvec_mem::PageCacheStats::default(),
-        );
-        let wall_start = Instant::now();
-        for _ in 0..invocations {
-            let (r, s) = run_vector_precompiled_cancellable(
-                program,
-                &plan.vectorized.vprog,
-                exe,
-                &mut scratch,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-                cancel,
-            )
+        let vector = harness
+            .vector(&plan.vectorized.vprog, Executor::Compiled(exe))
             .map_err(|e| map_exec("vector", e))?;
-            throughput.add_stats(&s);
-            agg_stats.chunks += s.chunks;
-            agg_stats.vpl_iterations += s.vpl_iterations;
-            agg_stats.ff_fallbacks += s.ff_fallbacks;
-            agg_stats.rtm_commits += s.rtm_commits;
-            agg_stats.rtm_aborts += s.rtm_aborts;
-            vector_final = Some(r);
-            last_stats = s;
-        }
-        throughput.wall = wall_start.elapsed();
-        throughput.page_cache = mem_v.cache_stats();
-        throughput.uops = sim_v.len();
-        let vector_run = vector_final.expect("at least one invocation");
-        let vector_cycles = sim_v.result().cycles;
 
-        let (scalar_cycles, live_outs) = match &scalar_state {
+        let (scalar_cycles, live_outs) = match &scalar {
             Some(base) => {
                 // Verification: live-outs and every array element must
                 // agree with the scalar baseline.
-                for v in &program.live_out {
-                    if base.run.var(*v) != vector_run.var(*v) {
-                        return Err(ProtoError::new(
-                            ErrorKind::ExecError,
-                            format!(
-                                "scalar/vector mismatch: live-out {} is {} scalar vs {} vector",
-                                program.var_name(*v),
-                                base.run.var(*v),
-                                vector_run.var(*v)
-                            ),
-                        ));
-                    }
-                }
-                for i in 0..arrays.len() {
-                    let a = base.bind.array(i as u32);
-                    let b = bind_v.array(i as u32);
-                    if base.mem.snapshot_array(a) != mem_v.snapshot_array(b) {
-                        return Err(ProtoError::new(
-                            ErrorKind::ExecError,
-                            format!(
-                                "scalar/vector mismatch: array {} differs",
-                                program.array_name(flexvec_ir::ArraySym(i as u32))
-                            ),
-                        ));
-                    }
-                }
+                verify(program, base, &vector).map_err(|m| {
+                    ProtoError::new(ErrorKind::ExecError, format!("scalar/vector mismatch: {m}"))
+                })?;
                 self.profiles
                     .lock()
                     .expect("profiles lock")
@@ -864,12 +757,7 @@ impl ServeEngine {
                     .expect("totals lock")
                     .entry("autotune_verified")
                     .or_insert(0) += 1;
-                let live_outs = program
-                    .live_out
-                    .iter()
-                    .map(|v| (program.var_name(*v).to_owned(), base.run.var(*v)))
-                    .collect();
-                (base.cycles, live_outs)
+                (base.cycles, live_outs(program, &base.result))
             }
             None => {
                 // Vector-only steady state: live-outs come from the
@@ -888,26 +776,21 @@ impl ServeEngine {
                     .expect("totals lock")
                     .entry("autotune_vector_only")
                     .or_insert(0) += 1;
-                let live_outs = program
-                    .live_out
-                    .iter()
-                    .map(|v| (program.var_name(*v).to_owned(), vector_run.var(*v)))
-                    .collect();
-                (per_inv * invocations, live_outs)
+                (per_inv * invocations, live_outs(program, &vector.result))
             }
         };
 
-        self.record_totals(native.is_some(), &agg_stats, &throughput);
+        self.record_totals(native.is_some(), &vector.total, &vector.throughput);
         Ok(ExecOutcome {
             kind: match plan.vectorized.kind {
                 flexvec::VectorizedKind::Traditional => "traditional",
                 flexvec::VectorizedKind::FlexVec => "flexvec",
             },
-            verified: scalar_state.is_some(),
+            verified: scalar.is_some(),
             scalar_cycles,
-            vector_cycles,
-            stats: last_stats,
-            throughput,
+            vector_cycles: vector.cycles,
+            stats: vector.stats,
+            throughput: vector.throughput,
             live_outs,
         })
     }
@@ -1181,17 +1064,6 @@ fn spec_label(spec: SpecRequest) -> String {
         SpecRequest::Auto => "auto".to_owned(),
         SpecRequest::Rtm { tile } => format!("rtm:{tile}"),
     }
-}
-
-/// The scalar half of a fully verified run: final state and
-/// measurements of the baseline loop.
-struct ScalarBaseline {
-    wall: Duration,
-    cycles: u64,
-    uops: u64,
-    run: flexvec_vm::RunResult,
-    mem: AddressSpace,
-    bind: Bindings,
 }
 
 /// Measured outcome of one executed request.

@@ -338,16 +338,22 @@ fn concurrent_identical_compiles_insert_exactly_once() {
 
     // However the eight requests interleaved across the worker pool,
     // the kernel was compiled and inserted exactly once; everyone else
-    // was coalesced onto that compile or served from the cache.
+    // was served from the cache. A follower that parked on the
+    // in-flight compile counts as coalesced *and*, once woken, as a
+    // hit, so only the hit count is exact.
     let cache = handle.engine().cache();
     assert_eq!(cache.compiles(), 1, "identical kernels must compile once");
     let stats = cache.stats();
     assert_eq!(stats.entries, 1);
     assert_eq!(stats.misses, 1, "only the first request may miss");
     assert_eq!(
-        stats.hits + stats.coalesced,
+        stats.hits,
         (CLIENTS as u64) - 1,
-        "followers must hit or coalesce: {stats:?}"
+        "every follower must end on a hit: {stats:?}"
+    );
+    assert!(
+        stats.coalesced < CLIENTS as u64,
+        "at most every follower parks: {stats:?}"
     );
     handle.shutdown();
 }

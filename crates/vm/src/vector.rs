@@ -634,16 +634,17 @@ pub fn run_vector_with_engine(
     sink: &mut dyn TraceSink,
     engine: Engine,
 ) -> Result<(RunResult, VectorStats), ExecError> {
+    with_engine_body(vprog, engine, |body| {
+        run_with_body(program, vprog, mem, bindings, sink, body, None)
+    })
+}
+
+/// Runs `f` on the [`EngineBody`] for `engine`: the tree itself, or
+/// `vprog` compiled for this one call (with native code attached for
+/// [`Engine::Native`] where the JIT accepts it) and a fresh scratch.
+fn with_engine_body<R>(vprog: &VProg, engine: Engine, f: impl FnOnce(&mut EngineBody) -> R) -> R {
     match engine {
-        Engine::TreeWalking => run_with_body(
-            program,
-            vprog,
-            mem,
-            bindings,
-            sink,
-            &mut EngineBody::Tree(vprog),
-            None,
-        ),
+        Engine::TreeWalking => f(&mut EngineBody::Tree(vprog)),
         Engine::Compiled | Engine::Native => {
             let mut compiled = CompiledVProg::compile(vprog);
             if engine == Engine::Native {
@@ -651,15 +652,7 @@ pub fn run_vector_with_engine(
                 compiled.enable_native();
             }
             let mut scratch = compiled.scratch();
-            run_vector_precompiled_with_scratch(
-                program,
-                vprog,
-                &compiled,
-                &mut scratch,
-                mem,
-                bindings,
-                sink,
-            )
+            f(&mut EngineBody::Compiled(&compiled, &mut scratch))
         }
     }
 }
@@ -779,35 +772,9 @@ pub fn run_all_or_nothing_with_engine(
             "all-or-nothing mode cannot roll back stores inside a VPL".to_owned(),
         ));
     }
-    match engine {
-        Engine::TreeWalking => run_ff(
-            program,
-            vprog,
-            mem,
-            bindings,
-            sink,
-            true,
-            &mut EngineBody::Tree(vprog),
-            None,
-        ),
-        Engine::Compiled | Engine::Native => {
-            let mut compiled = CompiledVProg::compile(vprog);
-            if engine == Engine::Native {
-                compiled.enable_native();
-            }
-            let mut scratch = compiled.scratch();
-            run_ff(
-                program,
-                vprog,
-                mem,
-                bindings,
-                sink,
-                true,
-                &mut EngineBody::Compiled(&compiled, &mut scratch),
-                None,
-            )
-        }
-    }
+    with_engine_body(vprog, engine, |body| {
+        run_ff(program, vprog, mem, bindings, sink, true, body, None)
+    })
 }
 
 fn loop_bounds(program: &Program, exec: &VecExec) -> (i64, i64) {

@@ -1,20 +1,16 @@
-//! The measurement harness: runs a workload's hot loop as the baseline
+//! Workload evaluation: runs a workload's hot loop as the baseline
 //! (scalar — the paper's baseline compiler cannot vectorize FlexVec
-//! candidates) and as FlexVec vector code, times both on the Table 1
-//! out-of-order model, verifies the two executions agree, and scales the
-//! region speedup by the workload's coverage (the paper's rdtsc-based
-//! methodology).
-
-use std::time::Instant;
+//! candidates) and as FlexVec vector code through
+//! [`flexvec_profiler::measure`], which times both on the Table 1
+//! out-of-order model and verifies the two executions agree, then
+//! scales the region speedup by the workload's coverage (the paper's
+//! rdtsc-based methodology).
 
 use flexvec::{vectorize, InstMix, SpecRequest};
-use flexvec_mem::AddressSpace;
+use flexvec_profiler::measure::{verify, Executor, Harness};
 use flexvec_profiler::ThroughputReport;
-use flexvec_sim::{amdahl_overall, OooSim, SimConfig};
-use flexvec_vm::{
-    run_all_or_nothing_with_engine, run_scalar, run_vector_precompiled_with_scratch,
-    run_vector_with_engine, Bindings, CompiledVProg, Engine, ExecError, TraceSink, VectorStats,
-};
+use flexvec_sim::{amdahl_overall, SimConfig};
+use flexvec_vm::{CompiledVProg, Engine, ExecError, VectorStats};
 
 use crate::{Suite, Workload};
 
@@ -85,17 +81,6 @@ pub struct Evaluation {
     pub throughput: ThroughputReport,
 }
 
-fn build_memory(w: &Workload) -> (AddressSpace, Bindings) {
-    let mut mem = AddressSpace::new();
-    let ids: Vec<_> = w
-        .arrays
-        .iter()
-        .enumerate()
-        .map(|(i, data)| mem.alloc_from(&format!("{}_{i}", w.name), data))
-        .collect();
-    (mem, Bindings::new(ids))
-}
-
 /// Vector execution strategy for [`evaluate_with_config`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VectorMode {
@@ -133,14 +118,6 @@ pub fn evaluate_with_config(
     evaluate_with_engine(w, spec, config, mode, Engine::default())
 }
 
-fn engine_label(engine: Engine) -> &'static str {
-    match engine {
-        Engine::TreeWalking => "tree-walking",
-        Engine::Compiled => "compiled",
-        Engine::Native => "native",
-    }
-}
-
 /// [`evaluate_with_config`] with an explicit execution [`Engine`]. With
 /// [`Engine::Compiled`] the `VProg` is flattened once and reused across
 /// all invocations.
@@ -156,125 +133,43 @@ pub fn evaluate_with_engine(
     engine: Engine,
 ) -> Result<Evaluation, EvalError> {
     let vectorized = vectorize(&w.program, spec)?;
+    let harness = Harness::new(&w.program, &w.arrays, config, w.invocations);
+    let scalar = harness.scalar()?;
 
-    // Baseline: scalar execution on the OOO model.
-    let (mut mem_s, bind_s) = build_memory(w);
-    let mut sim_s = OooSim::new(config.clone());
-    let mut scalar_final = None;
-    for _ in 0..w.invocations {
-        scalar_final = Some(run_scalar(
-            &w.program,
-            &mut mem_s,
-            bind_s.clone(),
-            &mut sim_s,
-        )?);
-    }
-    let scalar_result = sim_s.result();
-    let scalar_run = scalar_final.expect("at least one invocation");
-
-    // FlexVec: vector execution on the same model. Compile once, run
-    // every invocation through the flattened program.
-    let (mut mem_v, bind_v) = build_memory(w);
-    let mut compiled = match engine {
-        Engine::Compiled | Engine::Native => {
+    // FlexVec mode compiles once and runs every invocation through the
+    // flattened program; all-or-nothing and the tree walker take the
+    // VProg.
+    let compiled;
+    let executor = match (mode, engine) {
+        (VectorMode::AllOrNothing, _) => Executor::AllOrNothing(engine),
+        (VectorMode::FlexVec, Engine::TreeWalking) => Executor::Tree,
+        (VectorMode::FlexVec, Engine::Compiled | Engine::Native) => {
             let mut c = CompiledVProg::compile(&vectorized.vprog);
             if engine == Engine::Native {
                 c.enable_native();
             }
-            let scratch = c.scratch();
-            Some((c, scratch))
+            compiled = c;
+            Executor::Compiled(&compiled)
         }
-        Engine::TreeWalking => None,
     };
-    let mut sim_v = OooSim::new(config.clone());
-    let mut vector_final = None;
-    let mut stats = VectorStats::default();
-    mem_v.reset_cache_stats();
-    let mut throughput = ThroughputReport::new(
-        engine_label(engine),
-        std::time::Duration::ZERO,
-        0,
-        0,
-        flexvec_mem::PageCacheStats::default(),
-    );
-    let wall_start = Instant::now();
-    for _ in 0..w.invocations {
-        let (r, s) = match (mode, &mut compiled) {
-            (VectorMode::FlexVec, Some((c, scratch))) => run_vector_precompiled_with_scratch(
-                &w.program,
-                &vectorized.vprog,
-                c,
-                scratch,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-            )?,
-            (VectorMode::FlexVec, None) => run_vector_with_engine(
-                &w.program,
-                &vectorized.vprog,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-                Engine::TreeWalking,
-            )?,
-            (VectorMode::AllOrNothing, _) => run_all_or_nothing_with_engine(
-                &w.program,
-                &vectorized.vprog,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-                engine,
-            )?,
-        };
-        throughput.add_stats(&s);
-        vector_final = Some(r);
-        stats = s;
-    }
-    throughput.wall = wall_start.elapsed();
-    throughput.page_cache = mem_v.cache_stats();
-    let vector_result = sim_v.result();
-    let vector_run = vector_final.expect("at least one invocation");
+    let vector = harness.vector(&vectorized.vprog, executor)?;
+    verify(&w.program, &scalar, &vector)
+        .map_err(|m| EvalError::Mismatch(format!("{}: {m}", w.name)))?;
 
-    // Verification: live-outs and all arrays must agree.
-    for v in &w.program.live_out {
-        if scalar_run.var(*v) != vector_run.var(*v) {
-            return Err(EvalError::Mismatch(format!(
-                "{}: live-out {} is {} scalar vs {} vector",
-                w.name,
-                w.program.var_name(*v),
-                scalar_run.var(*v),
-                vector_run.var(*v)
-            )));
-        }
-    }
-    for i in 0..w.arrays.len() {
-        let a = bind_s.array(i as u32);
-        let b = bind_v.array(i as u32);
-        if mem_s.snapshot_array(a) != mem_v.snapshot_array(b) {
-            return Err(EvalError::Mismatch(format!(
-                "{}: array {i} differs",
-                w.name
-            )));
-        }
-    }
-
-    let region_speedup = scalar_result.cycles as f64 / vector_result.cycles as f64;
+    let region_speedup = scalar.cycles as f64 / vector.cycles as f64;
     Ok(Evaluation {
         name: w.name,
         suite: w.suite,
         coverage: w.coverage,
-        scalar_cycles: scalar_result.cycles,
-        flexvec_cycles: vector_result.cycles,
+        scalar_cycles: scalar.cycles,
+        flexvec_cycles: vector.cycles,
         region_speedup,
         overall_speedup: amdahl_overall(region_speedup, w.coverage),
-        stats,
+        stats: vector.stats,
         mix: vectorized.vprog.inst_mix(),
-        scalar_uops: sim_s.len(),
-        vector_uops: sim_v.len(),
-        throughput: ThroughputReport {
-            uops: sim_v.len(),
-            ..throughput
-        },
+        scalar_uops: scalar.uops,
+        vector_uops: vector.throughput.uops,
+        throughput: vector.throughput,
     })
 }
 
